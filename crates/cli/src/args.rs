@@ -321,6 +321,28 @@ fn need<T: std::str::FromStr>(args: &[String], i: usize, what: &str) -> Result<T
         .map_err(|_| ParseError(format!("invalid <{what}>: {}", args[i])))
 }
 
+/// `--rate`: a per-node, per-cycle injection probability in [0, 1]
+/// (NaN and infinities rejected).
+fn need_rate(args: &[String], i: usize) -> Result<f64, ParseError> {
+    let rate: f64 = need(args, i, "rate")?;
+    if (0.0..=1.0).contains(&rate) {
+        Ok(rate)
+    } else {
+        Err(ParseError(format!(
+            "--rate must be in [0, 1], got {}",
+            args[i]
+        )))
+    }
+}
+
+/// `--cycles`: at least one simulated cycle.
+fn need_cycles(args: &[String], i: usize) -> Result<u64, ParseError> {
+    match need(args, i, "cycles")? {
+        0 => Err(ParseError("--cycles must be at least 1".into())),
+        cycles => Ok(cycles),
+    }
+}
+
 fn parse_index_list(raw: &str, what: &str) -> Result<Vec<usize>, ParseError> {
     raw.split(',')
         .filter(|s| !s.is_empty())
@@ -464,11 +486,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             while i < args.len() {
                 match args[i].as_str() {
                     "--rate" => {
-                        rate = need(args, i + 1, "rate")?;
+                        rate = need_rate(args, i + 1)?;
                         i += 2;
                     }
                     "--cycles" => {
-                        cycles = need(args, i + 1, "cycles")?;
+                        cycles = need_cycles(args, i + 1)?;
                         i += 2;
                     }
                     "--adaptive" => {
@@ -610,11 +632,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                         i += 2;
                     }
                     "--rate" => {
-                        rate = need(args, i + 1, "rate")?;
+                        rate = need_rate(args, i + 1)?;
                         i += 2;
                     }
                     "--cycles" => {
-                        cycles = need(args, i + 1, "cycles")?;
+                        cycles = need_cycles(args, i + 1)?;
                         i += 2;
                     }
                     "--hot-node" => {
@@ -770,11 +792,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             while i < args.len() {
                 match args[i].as_str() {
                     "--rate" => {
-                        rate = need(args, i + 1, "rate")?;
+                        rate = need_rate(args, i + 1)?;
                         i += 2;
                     }
                     "--cycles" => {
-                        cycles = need(args, i + 1, "cycles")?;
+                        cycles = need_cycles(args, i + 1)?;
                         i += 2;
                     }
                     "--adaptive" => {
@@ -1225,6 +1247,27 @@ mod tests {
         assert!(parse(&argv("simulate 2 4 --threads 0")).is_err());
         // The adaptive router is serial-only.
         assert!(parse(&argv("simulate 2 4 --adaptive --threads 2")).is_err());
+    }
+
+    #[test]
+    fn rejects_out_of_range_rate_and_zero_cycles() {
+        for cmd in ["simulate 2 3", "report 2 3", "telemetry 1 3"] {
+            for bad in [
+                "--rate -1",
+                "--rate 5",
+                "--rate 1.5",
+                "--rate NaN",
+                "--rate inf",
+                "--cycles 0",
+            ] {
+                let err = parse(&argv(&format!("{cmd} {bad}"))).unwrap_err();
+                let flag = bad.split(' ').next().unwrap();
+                assert!(err.0.contains(flag), "{cmd} {bad}: {err}");
+            }
+            for ok in ["--rate 0", "--rate 1", "--rate 0.25", "--cycles 1"] {
+                assert!(parse(&argv(&format!("{cmd} {ok}"))).is_ok(), "{cmd} {ok}");
+            }
+        }
     }
 
     #[test]

@@ -37,6 +37,7 @@
 
 use crate::faults::{FaultEvent, FaultEventKind, FaultPlan, FaultTarget, FaultTimeline};
 use crate::flight::TraceSampling;
+use crate::kernel::{self, Bounded, Spec, Unbounded};
 use crate::routes::{ChurnRoutes, RepairStats, RouteCache, RouteSrc};
 use crate::sim::{Injection, SimConfig, SimStats};
 use crate::topology::NetTopology;
@@ -187,14 +188,8 @@ pub fn run_with_timeline(
 ) -> SimStats {
     let compiled = compile(topo, injections, base, timeline);
     record_repair(cfg.telemetry.as_ref(), cfg.profile, timeline, &compiled);
-    crate::flight::run_flight(
-        topo,
-        injections,
-        cfg,
-        RouteSrc::Churn(&compiled.routes),
-        &compiled.hot_plan,
-        sampling,
-    )
+    let spec = crate::flight::flight_spec(topo, injections, &cfg, &compiled.hot_plan, sampling);
+    kernel::routed(spec, RouteSrc::Churn(&compiled.routes), Unbounded, None)
 }
 
 /// [`crate::run_bounded`] under a fault timeline: bounded queues with
@@ -213,14 +208,9 @@ pub fn run_bounded_with_timeline(
 ) -> SimStats {
     let compiled = compile(topo, injections, base, timeline);
     record_repair(cfg.telemetry.as_ref(), cfg.profile, timeline, &compiled);
-    crate::sim::run_bounded_impl(
-        topo,
-        injections,
-        &cfg,
-        capacity,
-        false,
-        RouteSrc::Churn(&compiled.routes),
-    )
+    let spec = Spec::new(topo, injections, &cfg);
+    let routes = RouteSrc::Churn(&compiled.routes);
+    kernel::routed(spec, routes, Bounded::new(capacity), None)
 }
 
 /// [`crate::run_adaptive`] under a fault timeline. Churn gates
@@ -240,7 +230,8 @@ pub fn run_adaptive_with_timeline(
 ) -> SimStats {
     let compiled = compile(topo, injections, base, timeline);
     record_repair(cfg.telemetry.as_ref(), cfg.profile, timeline, &compiled);
-    crate::sim::run_adaptive_impl(topo, injections, &cfg, Some(&compiled.routes))
+    let spec = Spec::new(topo, injections, &cfg);
+    kernel::adaptive(spec, Some(&compiled.routes))
 }
 
 #[cfg(test)]

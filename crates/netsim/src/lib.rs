@@ -8,8 +8,11 @@
 //! * [`topology`] — a uniform adapter over `H_m`, `B_n`, `HD(m, n)`, and
 //!   `HB(m, n)` with each topology's own oblivious router (including the
 //!   hyper-butterfly's two routing orders for the ablation);
-//! * [`sim`] — the simulator core (source routing, per-channel FIFOs,
-//!   1 packet/channel/cycle);
+//! * [`sim`] — the simulator's model and entry points (source routing,
+//!   per-channel FIFOs, 1 packet/channel/cycle; unbounded, bounded and
+//!   adaptive runs);
+//! * `kernel` — the one cycle loop every entry point runs, generic over
+//!   admission, queueing, observer and shard exchange (DESIGN.md §16);
 //! * [`workload`] — uniform / permutation / hotspot / bit-complement
 //!   traffic, deterministic under seeds;
 //! * [`faults`] — fault-injection campaigns measuring survivor
@@ -28,9 +31,9 @@
 //!   counts;
 //! * [`pool`] — the slab [`pool::PacketPool`] backing the simulators'
 //!   queues (4-byte keys, zero per-hop allocation in steady state);
-//! * the sharded parallel engine behind [`SimConfig::with_threads`]:
-//!   deterministic per-shard advance with ordered cross-shard
-//!   mailboxes, byte-identical to the serial runners at every thread
+//! * the sharded parallel engine behind [`SimConfig::with_threads`]: the
+//!   same kernel per shard with ordered cross-shard mailboxes,
+//!   byte-identical to a serial run (the one-shard case) at every thread
 //!   count (DESIGN.md §9);
 //! * [`forwarding`] — edge forwarding index (static routing congestion,
 //!   the VLSI-quality metric).
@@ -42,6 +45,7 @@ pub mod churn;
 pub mod faults;
 pub mod flight;
 pub mod forwarding;
+mod kernel;
 mod par;
 pub mod pool;
 pub mod routes;

@@ -1,106 +1,48 @@
-//! Deterministic sharded parallel simulation engine.
+//! Sharded execution of the cycle kernel: shard boundaries, the
+//! mailbox exchange, and the in-order merge (DESIGN.md §9, §16).
 //!
-//! [`run_sharded`] advances the oblivious store-and-forward model of
-//! [`crate::sim::run`] on `cfg.threads` workers and produces **byte
-//! identical** results — `SimStats`, counters, histograms, link stats,
-//! and trace events all match the serial runner exactly, at every
-//! thread count. The determinism argument (DESIGN.md §9) rests on three
-//! invariants:
+//! A run with `cfg.threads > 1` splits the network into node-aligned
+//! contiguous shards and runs [`crate::kernel::shard_loop`] on each, on
+//! scoped threads; a serial run is the same kernel on one shard with
+//! the [`Solo`] exchange. Results are **byte identical** at every thread
+//! count — stats, counters, histograms, link stats, series, profiles and
+//! trace events — because of three invariants:
 //!
-//! 1. **Node-aligned contiguous shards.** Channels are laid out in CSR
-//!    order (`offsets[u] + port`), and shard `k` owns the contiguous
-//!    channel range `[chan_lo[k], chan_lo[k+1])` induced by a node range
-//!    — so a packet's *current* channel always belongs to exactly one
-//!    worker, and an injection's first channel belongs to the worker
-//!    owning its source node.
-//! 2. **Canonical service order.** Within a cycle, the serial loop
-//!    services active channels in ascending channel id. Each shard does
-//!    the same over its own (disjoint, ascending) range; since per
-//!    channel effects are independent given queue contents, the union of
-//!    shard-local services equals the serial pass.
-//! 3. **Ordered cross-shard delivery.** The only inter-channel coupling
-//!    is the FIFO order in which same-cycle movers land on a shared
-//!    target queue — ascending *source* channel in the serial loop. Each
-//!    worker collects its movers in service (= ascending source channel)
-//!    order into one mailbox per receiver; receivers drain mailboxes in
-//!    sender-shard order, and sender ranges are ascending, so the
-//!    concatenation reproduces the serial enqueue order exactly.
+//! 1. **Node-aligned contiguous shards.** Shard `k` owns the channel
+//!    range `[chan_lo[k], chan_lo[k+1])` induced by a node range, so a
+//!    packet's current channel belongs to exactly one shard, and an
+//!    injection's first channel to the shard owning its source.
+//! 2. **Canonical service order.** Each shard serves its own channels in
+//!    ascending id, exactly the serial order restricted to the range;
+//!    per-channel effects are independent given queue contents.
+//! 3. **Ordered cross-shard delivery.** The only coupling is the FIFO
+//!    order in which same-cycle movers land on a shared target queue —
+//!    ascending *source* channel in the serial loop. Shards post movers
+//!    in service order to one mailbox per receiver, and receivers drain
+//!    mailboxes in sender order, which reproduces that order.
 //!
-//! Cycle protocol (two barriers): *phase A* — each worker injects its
-//! due packets, services its channels, publishes cross-shard movers to
-//! per-(sender, receiver) mailboxes, and adds its deltas to three
-//! monotone counters (injections consumed, packets entering the
-//! network, packets delivered); *barrier*; every worker reads the
-//! counters and reaches the same drain decision; *phase B* — each
-//! worker applies its own local movers and drains its incoming
-//! mailboxes in sender order; *barrier*; everyone advances the cycle
-//! and stops together. The counters only change in phase A, so the
-//! decision read between the barriers is consistent across workers.
+//! Cycle protocol: each shard admits and serves, posts its movers and
+//! publishes its [`Tally`]; a barrier; every shard sums the tallies to
+//! the same network view (the drain decision, and shard 0's network
+//! series); each shard lands its movers; a second barrier.
 //!
-//! Stats, scoreboards, and buffered trace events are merged in fixed
-//! shard-index order after the join: integer sums/maxes are exact, and
-//! events are stable-sorted by `(cycle, phase, channel-or-id)` — a key
-//! that is unique across shards — reconstructing the serial emission
-//! order.
+//! After the join, shards merge in shard order with exact integer
+//! arithmetic. Traced sharded runs keep at most the trace capacity per
+//! shard, in a drop-oldest [`EventRing`]; shard events are already in
+//! `(cycle, phase, key)` order, so a k-way merge of the rings replays the
+//! network's newest events in serial emission order, and the discarded
+//! counts keep `events_dropped` exact.
 
-use crate::pool::PacketPool;
-use crate::routes::RouteSrc;
-use crate::sim::{ChanLayout, ChanQueues, Injection, Packet, ProfCounters, SimConfig, SimStats};
-use crate::topology::NetTopology;
-use crate::tsrec::{GlobalTs, LinkTs};
-use hb_graphs::NodeId;
-use hb_telemetry::{Event, Histogram, LinkStats, Series, Telemetry, TsConfig, CYCLES_COUNTER};
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::kernel::{
+    shard_loop, Exchange, Observer, Packet, ProfCounters, Queueing, Recorder, Routing, Run,
+    ShardOut, Solo, Tally, Trace,
+};
+use crate::sim::{ChanLayout, SimStats};
+use hb_telemetry::{LinkStats, Telemetry, CYCLES_COUNTER};
 use std::sync::{Barrier, Mutex};
 
-/// Per-shard dense instrument mirror of `sim::Scoreboard`, covering only
-/// the shard's own channel range (index = channel - chan_lo[k]).
-struct ShardBoard {
-    latency: Histogram,
-    hops: Histogram,
-    fwd: Vec<u64>,
-    busy: Vec<u64>,
-    peak: Vec<usize>,
-}
-
-/// A buffered trace event: (iteration cycle, phase, order key, event).
-/// Phase 0 = injection (key = injection id), phase 1 = service
-/// (key = 2*channel for hops, 2*channel + 1 for deliveries).
-type BufferedEvent = (u64, u8, u64, Event);
-
-/// One (sender, receiver) mailbox cell: packets that crossed a shard
-/// boundary this cycle, with their destination channel. Exactly one
-/// writer (phase A) and one reader (phase B), separated by a barrier.
-type Mailbox = Mutex<Vec<(u32, Packet)>>;
-
-/// What one worker hands back for the in-order merge.
-struct ShardResult {
-    delivered: u64,
-    total_latency: u64,
-    total_hops: u64,
-    latency_samples: u64,
-    max_latency: u64,
-    peak_queue: usize,
-    reroutes: u64,
-    unroutable: u64,
-    forwarded: u64,
-    cycles: u64,
-    pool_live: u64,
-    board: Option<ShardBoard>,
-    events: Vec<BufferedEvent>,
-    /// Whole-network per-cycle series; recorded by shard 0 only (from
-    /// the shared schedule, counters, and publish slots).
-    globals: Option<GlobalTs>,
-    /// This shard's per-channel queue-depth series.
-    links: Option<LinkTs>,
-    /// Cross-shard packets received per cycle (`--shard-stats` only).
-    mailbox: Option<Series>,
-    /// Deterministic work counters (`SimConfig::profile` only). The
-    /// `sim/*` phases sum identically across any shard count because
-    /// the sharded engine services exactly the channels the serial
-    /// loop would; `shard/*` phases are gated on `shard_telemetry`.
-    prof: ProfCounters,
-}
+#[cfg(doc)]
+use crate::kernel::EventRing;
 
 /// Shard owning channel `ch` under boundaries `chan_lo` (last entry =
 /// total channels; repeated entries denote empty shards).
@@ -108,138 +50,102 @@ fn shard_of(chan_lo: &[usize], ch: usize) -> usize {
     chan_lo.partition_point(|&c| c <= ch) - 1
 }
 
-/// Node-aligned shard boundaries balancing *channels* (not nodes) across
-/// `s` workers: `node_lo[k]` is the first node whose channel offset
-/// reaches `k/s` of the channel total.
-fn shard_boundaries(offsets: &[usize], n: usize, s: usize) -> Vec<usize> {
-    let num_channels = offsets[n];
+/// Node-aligned shard boundaries balancing *channels* across `s`
+/// shards: `node_lo[k]` is the first node whose first channel reaches
+/// `k/s` of the channel total. Under the arithmetic layout the CSR
+/// search degenerates to `ceil(target / degree)`, so both layouts cut
+/// at identical points.
+pub(crate) fn shard_boundaries(layout: &ChanLayout<'_>, n: usize, s: usize) -> Vec<usize> {
+    let total = layout.num_channels();
     let mut node_lo = vec![0usize; s + 1];
     node_lo[s] = n;
     for (k, lo) in node_lo.iter_mut().enumerate().take(s).skip(1) {
-        let target = k * num_channels / s;
-        *lo = offsets.partition_point(|&o| o < target).min(n);
+        let target = k * total / s;
+        *lo = match layout {
+            ChanLayout::Csr { offsets, .. } => offsets.partition_point(|&o| o < target),
+            ChanLayout::Uniform { degree, .. } => target.div_ceil(*degree),
+        }
+        .min(n);
     }
     node_lo
 }
 
-/// Layout-generic shard boundaries. Under the uniform arithmetic layout
-/// the CSR `partition_point` degenerates to `ceil(target / degree)`, so
-/// both layouts cut the channel space at identical node-aligned points —
-/// a prerequisite for implicit-mode parallel runs matching explicit ones
-/// byte for byte.
-fn shard_boundaries_layout(layout: &ChanLayout<'_>, n: usize, s: usize) -> Vec<usize> {
-    match layout {
-        ChanLayout::Csr { offsets, .. } => shard_boundaries(offsets, n, s),
-        ChanLayout::Uniform { degree, .. } => {
-            let num_channels = n * degree;
-            let mut node_lo = vec![0usize; s + 1];
-            node_lo[s] = n;
-            for (k, lo) in node_lo.iter_mut().enumerate().take(s).skip(1) {
-                let target = k * num_channels / s;
-                // First v with v * degree >= target, capped at n —
-                // exactly `offsets.partition_point(|&o| o < target)` on
-                // the arithmetic offsets `v * degree`.
-                *lo = target.div_ceil(*degree).min(n);
-            }
-            node_lo
-        }
+/// The sharded exchange: a mailbox per (sender, receiver), written in
+/// one phase and drained in the next with a barrier between, plus one
+/// tally slot per shard.
+/// Movers one shard sends another in one cycle, with their target
+/// channel: one writer, then (after a barrier) one reader.
+type Mailbox = Mutex<Vec<(usize, Packet)>>;
+
+struct Mailboxes<'a> {
+    chan_lo: &'a [usize],
+    barrier: Barrier,
+    boxes: Vec<Vec<Mailbox>>,
+    tallies: Vec<Mutex<Tally>>,
+}
+
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock()
+        .expect("invariant: exchange mutexes unpoisoned (holders never panic)")
+}
+
+impl Exchange for Mailboxes<'_> {
+    const SHARDED: bool = true;
+
+    fn shards(&self) -> usize {
+        self.boxes.len()
+    }
+
+    fn owner(&self, ch: usize) -> usize {
+        shard_of(self.chan_lo, ch)
+    }
+
+    fn sync(&self, k: usize, mine: Tally) -> Tally {
+        *lock(&self.tallies[k]) = mine;
+        self.barrier.wait();
+        self.tallies
+            .iter()
+            .fold(Tally::default(), |net, t| net.plus(*lock(t)))
+    }
+
+    fn post(&self, from: usize, to: usize, out: &mut Vec<(usize, Packet)>) {
+        lock(&self.boxes[from][to]).append(out);
+    }
+
+    fn take(&self, from: usize, to: usize, inbox: &mut Vec<(usize, Packet)>) {
+        std::mem::swap(&mut *lock(&self.boxes[from][to]), inbox);
+    }
+
+    fn barrier(&self) {
+        self.barrier.wait();
     }
 }
 
-/// The sharded parallel engine behind [`SimConfig::with_threads`].
-/// `faulted` selects flight semantics: empty route paths are counted as
-/// unroutable (with drop events), and `sim.reroutes`/`sim.unroutable`
-/// counters are emitted on the telemetry handle. `routes` is either a
-/// single shared table (static plan) or a per-injection churn snapshot
-/// compiled ahead of the run — both are read-only here, which keeps the
-/// determinism argument untouched by fault churn.
-// analyze: hot(sharded cycle loop is the perf-gated engine; see BENCH_parallel.json)
-pub(crate) fn run_sharded(
-    topo: &dyn NetTopology,
-    injections: &[Injection],
-    cfg: &SimConfig,
-    routes: RouteSrc<'_>,
-    faulted: bool,
-) -> SimStats {
-    let layout = ChanLayout::new(topo, cfg.implicit);
-    let n = topo.num_nodes();
-    let sparse = cfg.implicit || topo.explicit_graph().is_none();
-    let s = cfg.threads.min(n.max(1)).max(1);
-
-    let node_lo = shard_boundaries_layout(&layout, n, s);
-    let chan_lo: Vec<usize> = node_lo
-        .iter()
-        .map(|&v| layout.node_first_channel(v))
-        .collect();
-
-    let tel = cfg.telemetry.as_ref();
-    let with_board = tel.is_some();
-    let buffer_events = tel.is_some_and(Telemetry::trace_enabled);
-    // Dense endpoint table: O(channels), needed only by the telemetry
-    // merge and trace paths — skipped entirely on telemetry-off runs so
-    // implicit-mode memory stays bounded by active traffic.
-    let ends: Vec<(u32, u32)> = if with_board {
-        layout.endpoints()
-    } else {
-        Vec::new()
+/// Runs every shard of `run`: in place for one, on scoped threads for
+/// several. Results come back in shard order.
+pub(crate) fn drive<R: Routing, Q: Queueing, O: Observer + Send>(
+    run: &Run<'_>,
+    routing: &R,
+    queueing: &Q,
+    make: impl Fn(usize) -> O + Sync,
+) -> Vec<ShardOut<O>> {
+    if !run.sharded {
+        return vec![shard_loop(run, routing, queueing, 0, make(0), &Solo)];
+    }
+    let s = run.chan_lo.len() - 1;
+    let x = Mailboxes {
+        chan_lo: &run.chan_lo,
+        barrier: Barrier::new(s),
+        boxes: (0..s)
+            .map(|_| (0..s).map(|_| Mutex::new(Vec::new())).collect())
+            .collect(),
+        tallies: (0..s).map(|_| Mutex::new(Tally::default())).collect(),
     };
-
-    let total = injections.len() as u64;
-    let barrier = Barrier::new(s);
-    // mailboxes[sender][receiver]: written by one worker in phase A,
-    // drained by one worker in phase B, with a barrier in between.
-    let mailboxes: Vec<Vec<Mailbox>> = (0..s)
-        .map(|_| (0..s).map(|_| Mutex::new(Vec::new())).collect())
-        .collect();
-    let consumed = AtomicU64::new(0); // injections taken off the schedule
-    let net_in = AtomicU64::new(0); // packets that entered a queue
-    let net_out = AtomicU64::new(0); // routed packets delivered
-
-    // Time-series plumbing: per-shard publish slots written in phase A
-    // and read by shard 0 between the barriers, plus monotone totals for
-    // the fault-routing series. All idle when no cadence is configured.
-    let ts_cfg = tel.and_then(|t| t.timeseries_config());
-    let pub_peak: Vec<AtomicU64> = (0..s).map(|_| AtomicU64::new(0)).collect();
-    let pub_active: Vec<AtomicU64> = (0..s).map(|_| AtomicU64::new(0)).collect();
-    let reroutes_total = AtomicU64::new(0);
-    let unroutable_total = AtomicU64::new(0);
-
-    let mut results: Vec<ShardResult> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..s)
             .map(|k| {
-                let (layout, ends) = (&layout, &ends);
-                let (node_lo, chan_lo) = (&node_lo, &chan_lo);
-                let (barrier, mailboxes) = (&barrier, &mailboxes);
-                let (consumed, net_in, net_out) = (&consumed, &net_in, &net_out);
-                let (pub_peak, pub_active) = (&pub_peak, &pub_active);
-                let (reroutes_total, unroutable_total) = (&reroutes_total, &unroutable_total);
-                scope.spawn(move || {
-                    run_shard(ShardCtx {
-                        k,
-                        layout,
-                        sparse,
-                        routes,
-                        injections,
-                        cfg,
-                        ends,
-                        node_lo,
-                        chan_lo,
-                        barrier,
-                        mailboxes,
-                        consumed,
-                        net_in,
-                        net_out,
-                        total,
-                        with_board,
-                        buffer_events,
-                        faulted,
-                        ts_cfg,
-                        pub_peak,
-                        pub_active,
-                        reroutes_total,
-                        unroutable_total,
-                    })
-                })
+                let (x, make) = (&x, &make);
+                scope.spawn(move || shard_loop(run, routing, queueing, k, make(k), x))
             })
             .collect();
         handles
@@ -250,597 +156,154 @@ pub(crate) fn run_sharded(
                 )
             })
             .collect()
-    });
+    })
+}
 
-    // ---- in-order merge (shard index order, exact integer arithmetic) ----
+fn net_tally<O>(outs: &[ShardOut<O>]) -> Tally {
+    outs.iter().fold(Tally::default(), |a, o| a.plus(o.tally))
+}
+
+/// The run's [`SimStats`], summed over shards in shard order.
+pub(crate) fn merge_stats<O>(run: &Run<'_>, outs: &[ShardOut<O>]) -> SimStats {
+    let total = run.spec.injections.len() as u64;
+    let net = net_tally(outs);
     let mut stats = SimStats {
         offered: total,
-        ..Default::default()
+        delivered: net.delivered,
+        // Refused, still in flight, or never injected (the cycle limit
+        // came first): delivered + stranded == offered.
+        stranded: net.dropped
+            + net.unroutable
+            + (net.entered - net.exited)
+            + (total - net.consumed),
+        ..SimStats::default()
     };
-    let mut total_latency = 0u64;
-    let mut total_hops = 0u64;
-    let mut latency_samples = 0u64;
-    let mut reroutes = 0u64;
-    let mut unroutable = 0u64;
-    let mut in_flight = 0u64;
-    let mut prof = ProfCounters::default();
-    for r in &results {
-        prof.absorb(&r.prof);
-        stats.delivered += r.delivered;
-        stats.max_latency = stats.max_latency.max(r.max_latency);
-        stats.peak_queue = stats.peak_queue.max(r.peak_queue);
-        stats.cycles = stats.cycles.max(r.cycles);
-        total_latency += r.total_latency;
-        total_hops += r.total_hops;
-        latency_samples += r.latency_samples;
-        reroutes += r.reroutes;
-        unroutable += r.unroutable;
-        in_flight += r.pool_live;
+    let (mut latency_sum, mut hops_sum) = (0u64, 0u64);
+    for o in outs {
+        stats.max_latency = stats.max_latency.max(o.max_latency);
+        stats.peak_queue = stats.peak_queue.max(o.peak_queue);
+        stats.cycles = stats.cycles.max(o.cycles);
+        latency_sum += o.latency_sum;
+        hops_sum += o.hops_sum;
     }
-    let consumed_final = consumed.load(Ordering::SeqCst);
-    debug_assert_eq!(
-        in_flight,
-        net_in.load(Ordering::SeqCst) - net_out.load(Ordering::SeqCst),
-        "pool residents equal net in-flight"
-    );
-    stats.stranded = unroutable + in_flight + (total - consumed_final);
-    if latency_samples > 0 {
+    if net.exited > 0 {
         // analyze: allow(float-determinism, one division over exact integer totals at run end)
-        stats.avg_latency = total_latency as f64 / latency_samples as f64;
+        stats.avg_latency = latency_sum as f64 / net.exited as f64;
         // analyze: allow(float-determinism, one division over exact integer totals at run end)
-        stats.avg_hops = total_hops as f64 / latency_samples as f64;
+        stats.avg_hops = hops_sum as f64 / net.exited as f64;
     }
     debug_assert_eq!(
         stats.delivered + stats.stranded,
         stats.offered,
         "packet conservation"
     );
-
-    if let Some(t) = tel {
-        if cfg.profile {
-            prof.finish(
-                t,
-                Some((routes.num_pairs() as u64, routes.total_route_nodes() as u64)),
-            );
-        }
-        if buffer_events {
-            // Stable sort on (cycle, phase, key): the key is unique
-            // across shards, and equal keys only occur within one shard
-            // (injected-then-delivered pairs), whose local order the
-            // stable sort preserves — exactly the serial emission order.
-            let mut all: Vec<BufferedEvent> = results
-                .iter()
-                .flat_map(|r| r.events.iter().cloned())
-                .collect();
-            // analyze: allow(unstable-order, stable sort; ties share a shard and keep serial emission order)
-            all.sort_by_key(|e| (e.0, e.1, e.2));
-            for (_, _, _, ev) in all {
-                t.event(|| ev);
-            }
-        }
-        if faulted {
-            t.counter("sim.reroutes").add(reroutes);
-            t.counter("sim.unroutable").add(unroutable);
-        }
-        t.counter("sim.offered").add(stats.offered);
-        t.counter("sim.delivered").add(stats.delivered);
-        t.counter("sim.stranded").add(stats.stranded);
-        t.counter(CYCLES_COUNTER).add(stats.cycles);
-        let mut ls = LinkStats::new();
-        for (k, r) in results.iter().enumerate() {
-            let Some(b) = &r.board else { continue };
-            t.merge_histogram("sim.latency", &b.latency);
-            t.merge_histogram("sim.hops", &b.hops);
-            let base = chan_lo[k];
-            for i in 0..b.fwd.len() {
-                let (from, to) = ends[base + i];
-                if b.fwd[i] > 0 {
-                    ls.record_forward(from, to, b.fwd[i]);
-                }
-                if b.busy[i] > 0 {
-                    ls.record_busy(from, to, b.busy[i]);
-                }
-                if b.peak[i] > 0 {
-                    ls.observe_queue(from, to, b.peak[i]);
-                }
-            }
-        }
-        if with_board {
-            t.merge_links(&ls);
-        }
-        if cfg.shard_telemetry {
-            for (k, r) in results.iter().enumerate() {
-                // analyze: allow(alloc-in-hot, once-per-run shard telemetry merge, not cycle work)
-                t.counter(&format!("sim.shard.{k}.delivered"))
-                    .add(r.delivered);
-                // analyze: allow(alloc-in-hot, once-per-run shard telemetry merge, not cycle work)
-                t.counter(&format!("sim.shard.{k}.forwarded"))
-                    .add(r.forwarded);
-                // analyze: allow(alloc-in-hot, once-per-run shard telemetry merge, not cycle work)
-                let span = t.span_start(&format!("shard {k}"), None, 0);
-                // analyze: allow(alloc-in-hot, once-per-run shard telemetry merge, not cycle work)
-                t.span_attr(span, "nodes", format!("{}..{}", node_lo[k], node_lo[k + 1]));
-                t.span_attr(
-                    span,
-                    "channels",
-                    // analyze: allow(alloc-in-hot, once-per-run shard telemetry merge, not cycle work)
-                    format!("{}..{}", chan_lo[k], chan_lo[k + 1]),
-                );
-                t.span_attr(span, "delivered", r.delivered.to_string());
-                t.span_end(span, stats.cycles);
-            }
-        }
-        // Merge the time-series recorders (the final store is
-        // name-ordered, so shard order is immaterial — done in shard
-        // order anyway for clarity), then run detection exactly once.
-        for (k, r) in results.iter_mut().enumerate() {
-            if let Some(lt) = r.links.take() {
-                lt.merge_into(t, &ends);
-            }
-            if let Some(gt) = r.globals.take() {
-                gt.merge_into(t);
-            }
-            if let Some(mb) = r.mailbox.take() {
-                // analyze: allow(alloc-in-hot, once-per-run shard telemetry merge, not cycle work)
-                t.merge_series(&format!("sim.shard.{k}.mailbox"), mb);
-            }
-        }
-        t.detect_congestion(stats.cycles);
-    }
     stats
 }
 
-/// Everything one worker needs, bundled to keep the spawn site readable.
-struct ShardCtx<'a> {
-    k: usize,
-    layout: &'a ChanLayout<'a>,
-    /// Use the lazily materialised sparse channel store.
-    sparse: bool,
-    routes: RouteSrc<'a>,
-    injections: &'a [Injection],
-    cfg: &'a SimConfig,
-    ends: &'a [(u32, u32)],
-    node_lo: &'a [usize],
-    chan_lo: &'a [usize],
-    barrier: &'a Barrier,
-    mailboxes: &'a [Vec<Mailbox>],
-    consumed: &'a AtomicU64,
-    net_in: &'a AtomicU64,
-    net_out: &'a AtomicU64,
-    total: u64,
-    with_board: bool,
-    buffer_events: bool,
-    faulted: bool,
-    ts_cfg: Option<TsConfig>,
-    pub_peak: &'a [AtomicU64],
-    pub_active: &'a [AtomicU64],
-    reroutes_total: &'a AtomicU64,
-    unroutable_total: &'a AtomicU64,
-}
-
-fn run_shard(ctx: ShardCtx<'_>) -> ShardResult {
-    let ShardCtx {
-        k,
-        layout,
-        sparse,
-        routes,
-        injections,
-        cfg,
-        ends,
-        node_lo,
-        chan_lo,
-        barrier,
-        mailboxes,
-        consumed,
-        net_in,
-        net_out,
-        total,
-        with_board,
-        buffer_events,
-        faulted,
-        ts_cfg,
-        pub_peak,
-        pub_active,
-        reroutes_total,
-        unroutable_total,
-    } = ctx;
-    let s = chan_lo.len() - 1;
-    let base = chan_lo[k];
-    let width = chan_lo[k + 1] - base;
-
-    let channel_of = |u: NodeId, v: NodeId| -> usize { layout.channel_of(u, v) };
-
-    // My injections: those sourced in my node range, in global id order.
-    let my_inj: Vec<usize> = injections
+/// Replays the shards' trace rings into `tel` by a k-way merge on
+/// `(cycle, phase, key)` (keys are unique across shards; a shard's own
+/// ties keep its emission order), then counts what the rings discarded.
+fn replay_events(tel: &Telemetry, outs: &mut [ShardOut<Recorder<'_>>]) {
+    let mut rings: Vec<_> = outs
+        .iter_mut()
+        .filter_map(|o| match &mut o.obs.trace {
+            Trace::Ring(r) => Some(r),
+            _ => None,
+        })
+        .collect();
+    let discarded = rings.iter().map(|r| r.discarded).sum();
+    while let Some((_, i)) = rings
         .iter()
         .enumerate()
-        .filter(|(_, inj)| node_lo[k] <= inj.src && inj.src < node_lo[k + 1])
-        .map(|(i, _)| i)
-        .collect();
-    let mut next_inj = 0usize;
-
-    // Local per-channel store, indexed by `ch - base`.
-    let mut queues: ChanQueues<u32> = ChanQueues::new(width, sparse, false);
-    let mut pool: PacketPool<Packet> = PacketPool::new();
-    let mut active: Vec<usize> = Vec::new(); // global channel ids, own range
-    let mut board = with_board.then(|| ShardBoard {
-        latency: Histogram::new(),
-        hops: Histogram::new(),
-        fwd: vec![0; width],
-        busy: vec![0; width],
-        peak: vec![0; width],
-    });
-    let mut events: Vec<BufferedEvent> = Vec::new();
-    let profiling = cfg.profile && with_board;
-    let mut prof = ProfCounters::default();
-
-    // Link-depth series over this shard's own (disjoint) channel range;
-    // shard 0 additionally records the whole-network series — it derives
-    // the per-cycle globals from the shared injection schedule, the
-    // monotone counters, and the publish slots, all stable between the
-    // barriers.
-    let mut ts_links = ts_cfg.map(|c| LinkTs::new(c, base, width));
-    let mut globals = ts_cfg.filter(|_| k == 0).map(|c| GlobalTs::new(c, faulted));
-    let mut mailbox_series = ts_cfg.filter(|_| cfg.shard_telemetry).map(Series::new);
-    let mut all_next = 0usize; // shard 0's cursor over the full schedule
-    let mut prev_out = 0u64;
-    let mut prev_reroutes = 0u64;
-    let mut prev_unroutable = 0u64;
-
-    let mut delivered = 0u64;
-    let mut total_latency = 0u64;
-    let mut total_hops = 0u64;
-    let mut latency_samples = 0u64;
-    let mut max_latency = 0u64;
-    let mut peak_queue = 0usize;
-    let mut reroutes = 0u64;
-    let mut unroutable = 0u64;
-    let mut forwarded = 0u64;
-    let mut cycle = 0u64;
-
-    let mut local_pending: Vec<(usize, u32)> = Vec::new(); // (dst channel, key)
-    let mut outbox: Vec<Vec<(u32, Packet)>> = vec![Vec::new(); s];
-    let mut still_active: Vec<usize> = Vec::new();
-
-    while cycle < cfg.max_cycles {
-        // ---- phase A: inject + service own channels ----
-        let mut consumed_delta = 0u64;
-        let mut in_delta = 0u64;
-        let mut out_delta = 0u64;
-        let reroutes_before = reroutes;
-        let unroutable_before = unroutable;
-        while next_inj < my_inj.len() && injections[my_inj[next_inj]].at == cycle {
-            let idx = my_inj[next_inj];
-            let inj = injections[idx];
-            let id = idx as u64;
-            next_inj += 1;
-            consumed_delta += 1;
-            if buffer_events {
-                events.push((
-                    cycle,
-                    0,
-                    id,
-                    Event::PacketInjected {
-                        id,
-                        src: inj.src as u32,
-                        dst: inj.dst as u32,
-                        cycle,
-                    },
-                ));
-            }
-            let slot = routes
-                .slot_for(idx, inj.src, inj.dst)
-                .expect("invariant: route table was built from this exact workload");
-            let path = routes.path(slot);
-            if profiling {
-                prof.lookup_inv += 1;
-                prof.lookup_work += path.len() as u64;
-            }
-            if path.is_empty() {
-                debug_assert!(faulted, "empty routes only exist under faults");
-                unroutable += 1;
-                if buffer_events {
-                    events.push((
-                        cycle,
-                        0,
-                        id,
-                        Event::PacketDropped {
-                            id,
-                            at: inj.src as u32,
-                            cycle,
-                        },
-                    ));
-                }
-                continue;
-            }
-            if path.len() <= 1 {
-                delivered += 1;
-                if buffer_events {
-                    events.push((
-                        cycle,
-                        0,
-                        id,
-                        Event::PacketDelivered {
-                            id,
-                            dst: inj.dst as u32,
-                            latency: 0,
-                            cycle,
-                        },
-                    ));
-                }
-                continue;
-            }
-            if faulted && routes.detour(slot).is_some() {
-                reroutes += 1;
-            }
-            let ch = channel_of(path[0] as NodeId, path[1] as NodeId);
-            debug_assert!(
-                base <= ch && ch < chan_lo[k + 1],
-                "injection lands in own shard"
-            );
-            let key = pool.alloc(Packet {
-                id,
-                route: slot,
-                hop: 0,
-                injected_at: cycle,
-            });
-            queues.push_back(ch - base, key);
-            if queues.activate(ch - base) {
-                active.push(ch);
-            }
-            in_delta += 1;
-        }
-
-        // Canonical ascending order within the shard's disjoint range.
-        active.sort_unstable();
-
-        let mut cycle_peak = 0usize;
-        for &ch in &active {
-            let len = queues.len(ch - base);
-            if let Some(b) = board.as_mut() {
-                b.peak[ch - base] = b.peak[ch - base].max(len);
-            }
-            cycle_peak = cycle_peak.max(len);
-            if let Some(lt) = ts_links.as_mut() {
-                lt.observe(ch, cycle, len as u64);
-            }
-        }
-        peak_queue = peak_queue.max(cycle_peak);
-        // Sampled here (post-injection, pre-service) to match the serial
-        // loop; `active` is mutated again before the publish below.
-        let cycle_active = active.len();
-
-        still_active.clear();
-        for &ch in &active {
-            if profiling {
-                prof.service_inv += 1;
-                prof.service_work += queues.len(ch - base) as u64;
-            }
-            if let Some(key) = queues.pop_front(ch - base) {
-                let mut p = *pool.get(key);
-                p.hop += 1;
-                let path = routes.path(p.route);
-                let here = path[p.hop as usize];
-                forwarded += 1;
-                if let Some(b) = board.as_mut() {
-                    b.busy[ch - base] += 1;
-                    b.fwd[ch - base] += 1;
-                }
-                if buffer_events {
-                    let (from, to) = ends[ch];
-                    events.push((
-                        cycle,
-                        1,
-                        2 * ch as u64,
-                        Event::PacketHop {
-                            id: p.id,
-                            from,
-                            to,
-                            cycle: cycle + 1,
-                        },
-                    ));
-                }
-                if p.hop as usize + 1 == path.len() {
-                    let latency = cycle + 1 - p.injected_at;
-                    total_latency += latency;
-                    total_hops += u64::from(p.hop);
-                    latency_samples += 1;
-                    max_latency = max_latency.max(latency);
-                    delivered += 1;
-                    out_delta += 1;
-                    pool.free(key);
-                    if let Some(b) = board.as_mut() {
-                        b.latency.record(latency);
-                        b.hops.record(u64::from(p.hop));
-                    }
-                    if buffer_events {
-                        events.push((
-                            cycle,
-                            1,
-                            2 * ch as u64 + 1,
-                            Event::PacketDelivered {
-                                id: p.id,
-                                dst: here,
-                                latency,
-                                cycle: cycle + 1,
-                            },
-                        ));
-                    }
-                } else {
-                    let next = path[p.hop as usize + 1];
-                    let dst_ch = channel_of(here as NodeId, next as NodeId);
-                    let dst_shard = shard_of(chan_lo, dst_ch);
-                    if dst_shard == k {
-                        *pool.get_mut(key) = p;
-                        local_pending.push((dst_ch, key));
-                    } else {
-                        pool.free(key);
-                        outbox[dst_shard].push((dst_ch as u32, p));
-                    }
-                }
-            }
-            if queues.len(ch - base) == 0 {
-                queues.deactivate(ch - base);
-            } else {
-                still_active.push(ch);
-            }
-        }
-        std::mem::swap(&mut active, &mut still_active);
-
-        for (dst, out) in outbox.iter_mut().enumerate() {
-            if !out.is_empty() {
-                mailboxes[k][dst]
-                    .lock()
-                    .expect("invariant: mailbox mutex unpoisoned (holders never panic)")
-                    .append(out);
-            }
-        }
-        if consumed_delta > 0 {
-            consumed.fetch_add(consumed_delta, Ordering::SeqCst);
-        }
-        if in_delta > 0 {
-            net_in.fetch_add(in_delta, Ordering::SeqCst);
-        }
-        if out_delta > 0 {
-            net_out.fetch_add(out_delta, Ordering::SeqCst);
-        }
-        if ts_cfg.is_some() {
-            pub_peak[k].store(cycle_peak as u64, Ordering::SeqCst);
-            pub_active[k].store(cycle_active as u64, Ordering::SeqCst);
-            if faulted {
-                if reroutes > reroutes_before {
-                    reroutes_total.fetch_add(reroutes - reroutes_before, Ordering::SeqCst);
-                }
-                if unroutable > unroutable_before {
-                    unroutable_total.fetch_add(unroutable - unroutable_before, Ordering::SeqCst);
-                }
-            }
-        }
-
-        barrier.wait();
-        if profiling && cfg.shard_telemetry {
-            prof.barrier_inv += 1;
-            prof.barrier_work += 1;
-        }
-
-        // Counters are stable until the next phase A, so every worker
-        // computes the same decision here.
-        let drained = cfg.stop_when_drained
-            && consumed.load(Ordering::SeqCst) == total
-            && net_in.load(Ordering::SeqCst) == net_out.load(Ordering::SeqCst);
-
-        // Shard 0 records the whole-network samples for this cycle: the
-        // values are exactly what the serial loop sees at its own
-        // end-of-cycle recording point (phase A fixed every injection,
-        // delivery, and queue peak of the cycle; phase B only moves
-        // packets between queues).
-        if let Some(gt) = globals.as_mut() {
-            let mut injected_now = 0u64;
-            let mut self_delivered = 0u64;
-            while all_next < injections.len() && injections[all_next].at == cycle {
-                let inj = injections[all_next];
-                let idx = all_next;
-                all_next += 1;
-                injected_now += 1;
-                let slot = routes
-                    .slot_for(idx, inj.src, inj.dst)
-                    .expect("invariant: route table was built from this exact workload");
-                if routes.path(slot).len() == 1 {
-                    self_delivered += 1;
-                }
-            }
-            let out_now = net_out.load(Ordering::SeqCst);
-            let in_flight_now = net_in.load(Ordering::SeqCst) - out_now;
-            let peak_now = pub_peak
-                .iter()
-                .map(|a| a.load(Ordering::SeqCst))
-                .max()
-                .unwrap_or(0);
-            let active_now = pub_active.iter().map(|a| a.load(Ordering::SeqCst)).sum();
-            gt.record(
-                cycle,
-                in_flight_now,
-                injected_now,
-                self_delivered + (out_now - prev_out),
-                peak_now,
-                active_now,
-            );
-            prev_out = out_now;
-            if faulted {
-                let r_now = reroutes_total.load(Ordering::SeqCst);
-                let u_now = unroutable_total.load(Ordering::SeqCst);
-                gt.record_faults(cycle, r_now - prev_reroutes, u_now - prev_unroutable);
-                prev_reroutes = r_now;
-                prev_unroutable = u_now;
-            }
-        }
-
-        // ---- phase B: apply movers in ascending source-channel order ----
-        let mut incoming_total = 0u64;
-        for (src, sender_row) in mailboxes.iter().enumerate().take(s) {
-            if src == k {
-                for &(ch, key) in &local_pending {
-                    queues.push_back(ch - base, key);
-                    if queues.activate(ch - base) {
-                        active.push(ch);
-                    }
-                }
-                local_pending.clear();
-            } else {
-                let mut incoming = std::mem::take(
-                    &mut *sender_row[k]
-                        .lock()
-                        .expect("invariant: mailbox mutex unpoisoned (holders never panic)"),
-                );
-                incoming_total += incoming.len() as u64;
-                for (ch, p) in incoming.drain(..) {
-                    let ch = ch as usize;
-                    let key = pool.alloc(p);
-                    queues.push_back(ch - base, key);
-                    if queues.activate(ch - base) {
-                        active.push(ch);
-                    }
-                }
-            }
-        }
-        if profiling && cfg.shard_telemetry {
-            prof.mailbox_inv += 1;
-            prof.mailbox_work += incoming_total;
-        }
-        if let Some(mb) = mailbox_series.as_mut() {
-            mb.record(cycle, incoming_total);
-        }
-
-        barrier.wait();
-        if profiling && cfg.shard_telemetry {
-            prof.barrier_inv += 1;
-            prof.barrier_work += 1;
-        }
-        cycle += 1;
-        if drained {
-            break;
+        .filter_map(|(i, r)| r.buf.front().map(|e| ((e.0, e.1, e.2), i)))
+        .min()
+    {
+        if let Some((.., ev)) = rings[i].buf.pop_front() {
+            tel.event(|| ev);
         }
     }
+    tel.count_dropped_events(discarded);
+}
 
-    ShardResult {
-        delivered,
-        total_latency,
-        total_hops,
-        latency_samples,
-        max_latency,
-        peak_queue,
-        reroutes,
-        unroutable,
-        forwarded,
-        cycles: cycle,
-        pool_live: pool.live() as u64,
-        board,
-        events,
-        globals,
-        links: ts_links,
-        mailbox: mailbox_series,
-        prof,
+/// Merges the shards' recorders into `tel` in shard order, then runs
+/// congestion detection once.
+pub(crate) fn merge_telemetry(
+    run: &Run<'_>,
+    tel: &Telemetry,
+    mut outs: Vec<ShardOut<Recorder<'_>>>,
+    stats: &SimStats,
+) {
+    let cfg = run.spec.cfg;
+    let net = net_tally(&outs);
+    if cfg.profile {
+        let mut prof = ProfCounters::default();
+        for o in &outs {
+            prof.absorb(&o.obs.prof);
+        }
+        prof.finish(tel, run.route_build);
     }
+    replay_events(tel, &mut outs);
+    if run.dropped {
+        tel.counter("sim.dropped").add(net.dropped);
+    }
+    if run.spec.flight.is_some() {
+        tel.counter("sim.reroutes").add(net.reroutes);
+    }
+    if run.unroutable {
+        tel.counter("sim.unroutable").add(net.unroutable);
+    }
+    tel.counter("sim.offered").add(stats.offered);
+    tel.counter("sim.delivered").add(stats.delivered);
+    tel.counter("sim.stranded").add(stats.stranded);
+    tel.counter(CYCLES_COUNTER).add(stats.cycles);
+    let mut ls = LinkStats::new();
+    for r in outs.iter().map(|o| &o.obs) {
+        tel.merge_histogram("sim.latency", &r.latency);
+        tel.merge_histogram("sim.hops", &r.hops);
+        for (i, &(from, to)) in run.ends[r.base..r.base + r.fwd.len()].iter().enumerate() {
+            if r.fwd[i] > 0 {
+                ls.record_forward(from, to, r.fwd[i]);
+            }
+            if r.busy[i] > 0 {
+                ls.record_busy(from, to, r.busy[i]);
+            }
+            if r.peak[i] > 0 {
+                ls.observe_queue(from, to, r.peak[i]);
+            }
+        }
+    }
+    tel.merge_links(&ls);
+    if run.sharded && cfg.shard_telemetry {
+        for (k, o) in outs.iter().enumerate() {
+            let (delivered, forwarded) = (o.tally.delivered, o.obs.fwd.iter().sum());
+            tel.counter(&format!("sim.shard.{k}.delivered"))
+                .add(delivered);
+            tel.counter(&format!("sim.shard.{k}.forwarded"))
+                .add(forwarded);
+            let span = tel.span_start(&format!("shard {k}"), None, 0);
+            let nodes = format!("{}..{}", run.node_lo[k], run.node_lo[k + 1]);
+            tel.span_attr(span, "nodes", nodes);
+            let channels = format!("{}..{}", run.chan_lo[k], run.chan_lo[k + 1]);
+            tel.span_attr(span, "channels", channels);
+            tel.span_attr(span, "delivered", delivered.to_string());
+            tel.span_end(span, stats.cycles);
+        }
+    }
+    // The series store is name-ordered, so merge order is immaterial;
+    // detection runs once, after every series landed.
+    for (k, o) in outs.into_iter().enumerate() {
+        let r = o.obs;
+        if let Some(lt) = r.links {
+            lt.merge_into(tel, &run.ends);
+        }
+        if let Some((gt, _)) = r.globals {
+            gt.merge_into(tel);
+        }
+        if let Some(mb) = r.mailbox {
+            tel.merge_series(&format!("sim.shard.{k}.mailbox"), mb);
+        }
+    }
+    tel.detect_congestion(stats.cycles);
 }
 
 #[cfg(test)]
@@ -848,29 +311,82 @@ mod tests {
     use super::*;
     use crate::faults::FaultPlan;
     use crate::flight::{run_with_faults, TraceSampling};
-    use crate::sim::{channel_offsets, run};
-    use crate::topology::{HbRouteOrder, HyperButterflyNet, HypercubeNet};
+    use crate::sim::{run, SimConfig};
+    use crate::topology::{HbRouteOrder, HyperButterflyNet, HypercubeNet, NetTopology};
     use crate::workload;
 
     #[test]
     fn shard_boundaries_are_node_aligned_and_cover_all_channels() {
         let t = HyperButterflyNet::new(2, 3, HbRouteOrder::CubeFirst).unwrap();
-        let g = t.graph();
-        let offsets = channel_offsets(g);
-        let n = g.num_nodes();
-        for s in [1, 2, 3, 4, 7, 16] {
-            let node_lo = shard_boundaries(&offsets, n, s);
-            assert_eq!(node_lo[0], 0);
-            assert_eq!(node_lo[s], n);
-            assert!(node_lo.windows(2).all(|w| w[0] <= w[1]));
-            let chan_lo: Vec<usize> = node_lo.iter().map(|&v| offsets[v]).collect();
-            // Every channel belongs to exactly the shard that owns its
-            // tail node.
-            for ch in [0usize, 1, offsets[n] / 2, offsets[n] - 1] {
-                let k = shard_of(&chan_lo, ch);
-                assert!(chan_lo[k] <= ch && ch < chan_lo[k + 1]);
+        let n = t.num_nodes();
+        for implicit in [false, true] {
+            let layout = ChanLayout::new(&t, implicit);
+            let total = layout.num_channels();
+            for s in [1, 2, 3, 4, 7, 16] {
+                let node_lo = shard_boundaries(&layout, n, s);
+                assert_eq!(node_lo[0], 0);
+                assert_eq!(node_lo[s], n);
+                assert!(node_lo.windows(2).all(|w| w[0] <= w[1]));
+                let chan_lo: Vec<usize> = node_lo
+                    .iter()
+                    .map(|&v| layout.node_first_channel(v))
+                    .collect();
+                // Every channel belongs to exactly the shard that owns
+                // its tail node.
+                for ch in [0usize, 1, total / 2, total - 1] {
+                    let k = shard_of(&chan_lo, ch);
+                    assert!(chan_lo[k] <= ch && ch < chan_lo[k + 1]);
+                }
             }
         }
+    }
+
+    #[test]
+    fn sharded_trace_rings_hold_at_most_capacity_and_merge_exactly() {
+        use crate::kernel::{Recorder, Routed, Spec, Trace, Unbounded};
+        use crate::routes::{RouteSrc, RouteTable};
+        let t = HypercubeNet::new(4).unwrap();
+        let traffic = workload::uniform(t.num_nodes(), 40, 0.5, 17);
+        let cap = 16;
+        let serial_tel = Telemetry::with_trace(cap);
+        let cfg = SimConfig::default().with_telemetry(serial_tel.clone());
+        let serial = run(&t, &traffic, cfg);
+
+        // Drive the four shards directly so their rings can be inspected
+        // before the merge.
+        let tel = Telemetry::with_trace(cap);
+        let cfg = SimConfig::default()
+            .with_telemetry(tel.clone())
+            .with_threads(4);
+        let table = RouteTable::for_injections(&t, &traffic, &FaultPlan::new());
+        let layout = ChanLayout::new(&t, false);
+        let routing = Routed {
+            routes: RouteSrc::Table(&table),
+            layout: &layout,
+        };
+        let spec = Spec::new(&t, &traffic, &cfg);
+        let r = Run::new(&spec, &layout, &routing, &Unbounded);
+        assert_eq!(r.chan_lo.len(), 5, "four shards");
+        let outs = drive(&r, &routing, &Unbounded, |k| {
+            Recorder::new(&r, &tel, k, None)
+        });
+        let mut emitted = 0;
+        for o in &outs {
+            let Trace::Ring(ring) = &o.obs.trace else {
+                panic!("sharded trace runs buffer events in rings");
+            };
+            assert!(ring.buf.len() <= cap, "ring over capacity");
+            emitted += ring.buf.len() as u64 + ring.discarded;
+        }
+        assert!(emitted > 4 * cap as u64, "every ring budget overflows");
+        let stats = merge_stats(&r, &outs);
+        merge_telemetry(&r, &tel, outs, &stats);
+        assert_eq!(stats, serial);
+        assert_eq!(tel.events(), serial_tel.events(), "the newest events");
+        assert_eq!(
+            tel.snapshot().events_dropped,
+            serial_tel.snapshot().events_dropped
+        );
     }
 
     #[test]

@@ -852,12 +852,6 @@ impl<'a> RouteSrc<'a> {
             RouteSrc::Churn(c) => c.total_route_nodes(),
         }
     }
-
-    /// Whether routes came from a fault timeline (drives unroutable
-    /// accounting in the bounded engine).
-    pub(crate) fn is_churn(&self) -> bool {
-        matches!(self, RouteSrc::Churn(_))
-    }
 }
 
 #[cfg(test)]
@@ -1147,7 +1141,7 @@ mod tests {
         assert_eq!(src.slot_for(0, 0, 15), Some(churn.slot_of(0)));
         assert_eq!(src.path(churn.slot_of(3)), cache.path(a2));
         assert_eq!(src.num_pairs(), 3);
-        assert!(src.is_churn());
+        assert!(matches!(src, RouteSrc::Churn(_)));
     }
 
     #[test]

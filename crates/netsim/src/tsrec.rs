@@ -1,6 +1,6 @@
 //! Local time-series recorders for the simulation runners.
 //!
-//! Mirrors the [`crate::sim::Scoreboard`] pattern: hot loops record into
+//! Mirrors the [`crate::kernel::Recorder`] pattern: hot loops record into
 //! plain local structs (no locks, no name lookups per sample) and the
 //! accumulated series merge into the shared [`Telemetry`] handle once at
 //! the end of the run. Both recorders key every sample by **logical

@@ -6,9 +6,13 @@
 //! setup and identical high-water marks, so any per-hop allocation
 //! would scale with the extra hops and break the bound.
 //!
-//! Covered engines: `run_adaptive` (dense) and the frontier engine
-//! (`run` over the implicit topology's sparse channel store, where
-//! records churn through the recycling free list every wave).
+//! Covered engines: `run_adaptive` (dense), the frontier engine (`run`
+//! over the implicit topology's sparse channel store, where records
+//! churn through the recycling free list every wave), `run_bounded`
+//! (same-cycle credits), and untraced `run_with_faults` under an empty
+//! and a three-link-fault plan (detoured routes). Every engine runs the
+//! same cycle kernel, so these cover its admission, service, credit and
+//! landing paths under each policy.
 //!
 //! This is the only test in this file: the global counting allocator
 //! must not race with unrelated tests.
@@ -16,7 +20,10 @@
 use hb_netsim::topology::{
     HbRouteOrder, HyperButterflyNet, HypercubeNet, ImplicitTopology, NetTopology,
 };
-use hb_netsim::{run, run_adaptive, Injection, SimConfig, SimStats};
+use hb_netsim::{
+    run, run_adaptive, run_bounded, run_with_faults, FaultPlan, Injection, SimConfig, SimStats,
+    TraceSampling,
+};
 use hb_telemetry::Telemetry;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,6 +82,19 @@ enum Engine {
     /// The oblivious frontier engine on sparse (implicit) channel
     /// state: channel records materialise and recycle every wave.
     Frontier,
+    /// Bounded queues with head-of-line blocking and credits.
+    Bounded,
+    /// The fault-aware runner, untraced, under this many link faults.
+    Faulted(usize),
+}
+
+/// A plan of `faults` link faults on the lowest port of nodes 0, 1, 2.
+fn link_faults(topo: &dyn NetTopology, faults: usize) -> FaultPlan {
+    let mut plan = FaultPlan::new();
+    for u in 0..faults {
+        plan.add_link(u, topo.graph().neighbors(u)[0] as usize);
+    }
+    plan
 }
 
 fn run_waves(
@@ -95,6 +115,11 @@ fn run_waves(
     match engine {
         Engine::Adaptive => count_allocs(|| run_adaptive(topo, &inj, cfg)),
         Engine::Frontier => count_allocs(|| run(topo, &inj, cfg.with_implicit_topology(true))),
+        Engine::Bounded => count_allocs(|| run_bounded(topo, &inj, cfg, 8)),
+        Engine::Faulted(faults) => {
+            let plan = link_faults(topo, faults);
+            count_allocs(|| run_with_faults(topo, &inj, cfg, &plan, TraceSampling::Off))
+        }
     }
 }
 
@@ -149,4 +174,10 @@ fn hot_loops_steady_state_are_allocation_free() {
     let imp = ImplicitTopology::new(2, 3, HbRouteOrder::CubeFirst).unwrap();
     assert_steady_state_alloc_free(&imp, Engine::Frontier, false);
     assert_steady_state_alloc_free(&imp, Engine::Frontier, true);
+    for engine in [Engine::Bounded, Engine::Faulted(0), Engine::Faulted(3)] {
+        for profiled in [false, true] {
+            assert_steady_state_alloc_free(&hc, engine, profiled);
+            assert_steady_state_alloc_free(&hb, engine, profiled);
+        }
+    }
 }

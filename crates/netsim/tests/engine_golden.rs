@@ -123,7 +123,7 @@ fn check(name: &str, rendered: &str) {
 }
 
 #[test]
-fn run_serial_and_sharded() {
+fn run_at_one_and_two_threads() {
     let t = net();
     let inj = traffic(&t);
     for threads in [1, 2] {

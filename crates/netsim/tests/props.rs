@@ -68,8 +68,8 @@ proptest! {
     /// Cross-scoreboard link-stat merging is order-independent: partial
     /// runs merged into one handle in any order yield identical totals,
     /// per-link counters, and max utilization. This is the property the
-    /// simulator's end-of-run `Scoreboard::finish` merge relies on when
-    /// several runs (or future parallel shards) share one handle.
+    /// simulator's end-of-run merge of its per-shard recorders relies on
+    /// when several runs or shards share one handle.
     #[test]
     fn link_stat_merge_is_order_independent(seed in 0u64..200, rate in 5u32..40) {
         let t = HypercubeNet::new(4).unwrap();

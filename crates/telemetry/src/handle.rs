@@ -106,6 +106,26 @@ impl Telemetry {
         self.inner.level == TelemetryLevel::Trace
     }
 
+    /// The most events the trace retains (0 below trace level).
+    pub fn trace_capacity(&self) -> usize {
+        self.inner
+            .trace
+            .lock()
+            .expect("invariant: trace mutex unpoisoned (holders never panic)")
+            .capacity()
+    }
+
+    /// Counts `n` events discarded before they reached the trace, so a
+    /// producer that buffers in bounded rings (the sharded simulator)
+    /// keeps `events_dropped` exact.
+    pub fn count_dropped_events(&self, n: u64) {
+        self.inner
+            .trace
+            .lock()
+            .expect("invariant: trace mutex unpoisoned (holders never panic)")
+            .count_dropped(n);
+    }
+
     /// The counter/gauge registry.
     pub fn registry(&self) -> &Registry {
         &self.inner.registry

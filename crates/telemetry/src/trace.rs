@@ -163,6 +163,12 @@ impl EventTrace {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
+
+    /// Counts `n` events a producer discarded before they reached the
+    /// trace (a bounded per-worker buffer that already evicted them).
+    pub fn count_dropped(&mut self, n: u64) {
+        self.dropped += n;
+    }
 }
 
 #[cfg(test)]
