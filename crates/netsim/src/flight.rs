@@ -21,8 +21,8 @@
 //!   Spans live in the attached [`hb_telemetry::Telemetry`] handle and
 //!   render via `SpanTreeSink` or `ChromeTraceSink`.
 //!
-//! The run is the shared cycle kernel ([`crate::kernel`]); this module
-//! adds the flight observer, [`Spans`], whose per-packet span state sits
+//! The run is the shared cycle kernel (DESIGN.md §16); this module adds
+//! the flight observer, `Spans`, whose per-packet span state sits
 //! in a side table keyed by packet-pool slot, so untraced runs move the
 //! same 24-byte packets as every other engine. The recorder observes, it
 //! never steers: with `telemetry: None` (or sampling off) the returned

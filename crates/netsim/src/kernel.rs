@@ -81,15 +81,8 @@ pub(crate) trait Routing: Sync {
     fn step(&self, p: &Packet, ch: usize) -> Step;
     /// The channel a forwarded packet joins.
     fn land<O: Observer>(&self, target: usize, p: &Packet, q: &ChanQueues, obs: &mut O) -> usize;
-    /// Whether `route` detours around a fault.
-    fn detoured(&self, _route: u32) -> bool {
-        false
-    }
-    /// `(pairs, nodes)` of the route build, for the `sim/route_build` phase.
-    fn route_build(&self) -> Option<(u64, u64)> {
-        None
-    }
-    /// The source routes, which flight spans read.
+    /// The source routes, if any: flight spans and detour accounting
+    /// read them, and the profile's `sim/route_build` phase sizes them.
     fn routes(&self) -> Option<RouteSrc<'_>> {
         None
     }
@@ -143,23 +136,12 @@ impl Routing for Routed<'_> {
         target
     }
 
-    fn detoured(&self, route: u32) -> bool {
-        self.routes.detour(route).is_some()
-    }
-
     fn routes(&self) -> Option<RouteSrc<'_>> {
         Some(self.routes)
     }
 
     fn gated(&self) -> bool {
         matches!(self.routes, RouteSrc::Churn(_))
-    }
-
-    fn route_build(&self) -> Option<(u64, u64)> {
-        Some((
-            self.routes.num_pairs() as u64,
-            self.routes.total_route_nodes() as u64,
-        ))
     }
 }
 
@@ -354,6 +336,9 @@ impl Exchange for Solo {
 /// Hooks the kernel calls at each observable point. Every default is a
 /// no-op, so the `()` observer compiles away.
 pub(crate) trait Observer {
+    /// Whether the hooks record anything: the kernel skips computing
+    /// hook-only arguments (queue depths) when they do not.
+    const ON: bool = false;
     /// A trace event, ordered by `(cycle, phase, key)`: phase 0 is
     /// admission keyed by injection id, phase 1 is service keyed by
     /// `2 * channel` (hop) and `2 * channel + 1` (delivery).
@@ -530,6 +515,8 @@ impl<'a> Recorder<'a> {
 }
 
 impl Observer for Recorder<'_> {
+    const ON: bool = true;
+
     #[inline]
     fn event(&mut self, cycle: u64, phase: u8, key: u64, make: impl FnOnce() -> Event) {
         match &mut self.trace {
@@ -740,7 +727,9 @@ impl<'a> Run<'a> {
             spans,
             dropped: queueing.capacity() != usize::MAX,
             unroutable: routing.gated() || spec.flight.is_some(),
-            route_build: routing.route_build(),
+            route_build: routing
+                .routes()
+                .map(|r| (r.num_pairs() as u64, r.total_route_nodes() as u64)),
         }
     }
 }
@@ -835,6 +824,26 @@ fn enqueue(q: &mut ChanQueues, active: &mut Vec<usize>, ch: usize, key: u32) {
     }
 }
 
+/// Lands the mover `(target, key)` at the end of `cycle`: picks its
+/// channel, then queues it.
+#[inline]
+fn land<R: Routing, O: Observer>(
+    routing: &R,
+    q: &mut ChanQueues,
+    active: &mut Vec<usize>,
+    pool: &PacketPool<Packet>,
+    obs: &mut O,
+    (target, key): (usize, u32),
+    cycle: u64,
+) {
+    let p = pool.get(key);
+    let ch = routing.land(target, p, q, obs);
+    if O::ON {
+        obs.land(key, p, cycle + 1, q.len(ch));
+    }
+    enqueue(q, active, ch, key);
+}
+
 /// Shard `k` of `run`: the one cycle loop. Each cycle admits the
 /// shard's due injections in id order, serves every non-empty channel
 /// once (two-phase: a packet moves at most one hop per cycle), publishes
@@ -859,18 +868,17 @@ pub(crate) fn shard_loop<R: Routing, Q: Queueing, O: Observer, X: Exchange>(
     let mut active: Vec<usize> = Vec::new();
     let mut still: Vec<usize> = Vec::new();
     let mut movers: Vec<(usize, u32)> = Vec::new();
-    let mut arrivals: Vec<(usize, u32)> = Vec::new();
     let mut credited: Vec<usize> = Vec::new();
     let mut outbox: Vec<Vec<(usize, Packet)>> = (0..x.shards()).map(|_| Vec::new()).collect();
     let mut inbox: Vec<(usize, Packet)> = Vec::new();
     let mut tally = Tally::default();
     let (mut latency_sum, mut hops_sum, mut max_latency, mut peak_queue) = (0, 0, 0, 0);
-    let mut next = 0usize;
+    let mut cursor = 0usize; // next injection of the schedule
     let mut cycle = 0u64;
     while cycle < cfg.max_cycles {
-        while next < injections.len() && injections[next].at == cycle {
-            let (idx, inj) = (next, injections[next]);
-            next += 1;
+        while cursor < injections.len() && injections[cursor].at == cycle {
+            let (idx, inj) = (cursor, injections[cursor]);
+            cursor += 1;
             if !nodes.contains(&inj.src) {
                 continue;
             }
@@ -897,13 +905,14 @@ pub(crate) fn shard_loop<R: Routing, Q: Queueing, O: Observer, X: Exchange>(
                     });
                     false
                 }
-                Admit::Enter { ch, .. } if queues.len(ch) >= cap => {
+                Admit::Enter { ch, .. } if bounded && queues.len(ch) >= cap => {
                     tally.dropped += 1; // source buffer full
                     true
                 }
                 Admit::Enter { ch, route } => {
                     debug_assert!(lo <= ch && ch < hi, "injection lands in its own shard");
-                    let detoured = routing.detoured(route);
+                    let detoured = run.spec.flight.is_some()
+                        && routing.routes().is_some_and(|r| r.detour(route).is_some());
                     tally.reroutes += u64::from(detoured);
                     let p = Packet {
                         id,
@@ -912,7 +921,9 @@ pub(crate) fn shard_loop<R: Routing, Q: Queueing, O: Observer, X: Exchange>(
                         injected_at: cycle,
                     };
                     let key = pool.alloc(p);
-                    obs.enter(key, &p, inj, detoured, queues.len(ch));
+                    if O::ON {
+                        obs.enter(key, &p, inj, detoured, queues.len(ch));
+                    }
                     enqueue(&mut queues, &mut active, ch, key);
                     tally.entered += 1;
                     false
@@ -949,15 +960,24 @@ pub(crate) fn shard_loop<R: Routing, Q: Queueing, O: Observer, X: Exchange>(
 
         still.clear();
         for &ch in &active {
-            obs.service(ch, queues.len(ch));
-            let key = *queues
-                .front(ch)
-                .expect("invariant: the service set holds non-empty channels");
+            if O::ON {
+                obs.service(ch, queues.len(ch));
+            }
+            // Bounded heads move only if the next queue has room, so
+            // they are inspected before they leave.
+            let head = if bounded {
+                queues.front(ch).copied()
+            } else {
+                queues.pop_front(ch)
+            };
+            let key = head.expect("invariant: the service set holds non-empty channels");
             let step = routing.step(pool.get(key), ch);
             let blocked = bounded
                 && matches!(step, Step::Forward(next) if queues.len_plus_incoming(next) >= cap);
             if !blocked {
-                queues.pop_front(ch);
+                if bounded {
+                    queues.pop_front(ch);
+                }
                 let mut p = *pool.get(key);
                 p.hop += 1;
                 obs.hop(ch, key, &p, cycle);
@@ -1020,20 +1040,19 @@ pub(crate) fn shard_loop<R: Routing, Q: Queueing, O: Observer, X: Exchange>(
         let mut incoming = 0u64;
         for from in 0..x.shards() {
             if from == k {
-                arrivals.append(&mut movers);
+                for &m in &movers {
+                    land(routing, &mut queues, &mut active, &pool, &mut obs, m, cycle);
+                }
+                movers.clear();
             } else {
                 x.take(from, k, &mut inbox);
                 incoming += inbox.len() as u64;
-                arrivals.extend(inbox.drain(..).map(|(ch, p)| (ch, pool.alloc(p))));
+                for (ch, p) in inbox.drain(..) {
+                    let m = (ch, pool.alloc(p));
+                    land(routing, &mut queues, &mut active, &pool, &mut obs, m, cycle);
+                }
             }
         }
-        for &(target, key) in &arrivals {
-            let p = pool.get(key);
-            let ch = routing.land(target, p, &queues, &mut obs);
-            obs.land(key, p, cycle + 1, queues.len(ch));
-            enqueue(&mut queues, &mut active, ch, key);
-        }
-        arrivals.clear();
         for &ch in &credited {
             queues.clear_incoming(ch);
         }

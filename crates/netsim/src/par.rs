@@ -28,7 +28,7 @@
 //!
 //! After the join, shards merge in shard order with exact integer
 //! arithmetic. Traced sharded runs keep at most the trace capacity per
-//! shard, in a drop-oldest [`EventRing`]; shard events are already in
+//! shard, in a drop-oldest [`crate::kernel::EventRing`]; shard events are already in
 //! `(cycle, phase, key)` order, so a k-way merge of the rings replays the
 //! network's newest events in serial emission order, and the discarded
 //! counts keep `events_dropped` exact.
@@ -40,9 +40,6 @@ use crate::kernel::{
 use crate::sim::{ChanLayout, SimStats};
 use hb_telemetry::{LinkStats, Telemetry, CYCLES_COUNTER};
 use std::sync::{Barrier, Mutex};
-
-#[cfg(doc)]
-use crate::kernel::EventRing;
 
 /// Shard owning channel `ch` under boundaries `chan_lo` (last entry =
 /// total channels; repeated entries denote empty shards).
@@ -70,13 +67,13 @@ pub(crate) fn shard_boundaries(layout: &ChanLayout<'_>, n: usize, s: usize) -> V
     node_lo
 }
 
-/// The sharded exchange: a mailbox per (sender, receiver), written in
-/// one phase and drained in the next with a barrier between, plus one
-/// tally slot per shard.
 /// Movers one shard sends another in one cycle, with their target
 /// channel: one writer, then (after a barrier) one reader.
 type Mailbox = Mutex<Vec<(usize, Packet)>>;
 
+/// The sharded exchange: a mailbox per (sender, receiver), written in
+/// one phase and drained in the next with a barrier between, plus one
+/// tally slot per shard.
 struct Mailboxes<'a> {
     chan_lo: &'a [usize],
     barrier: Barrier,

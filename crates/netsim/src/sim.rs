@@ -328,19 +328,16 @@ impl<'a> ChanLayout<'a> {
     }
 
     /// Head-node lookup for the adaptive runner: a dense table under CSR
-    /// (O(channels), as before), algebraic under the uniform layout
-    /// (O(1) memory, one neighbor enumeration per lookup).
+    /// (O(channels)), algebraic under the uniform layout (O(1) memory,
+    /// one neighbor enumeration per lookup).
     pub(crate) fn heads(&self) -> ChanHeads<'a> {
         match self {
-            ChanLayout::Csr { g, offsets } => {
-                let mut chan_to = vec![0u32; offsets[g.num_nodes()]];
-                for v in 0..g.num_nodes() {
-                    for (port, &w) in g.neighbors(v).iter().enumerate() {
-                        chan_to[offsets[v] + port] = w;
-                    }
-                }
-                ChanHeads::Table(chan_to)
-            }
+            ChanLayout::Csr { g, offsets } => ChanHeads::Table(
+                channel_endpoints(g, offsets)
+                    .into_iter()
+                    .map(|(_, head)| head)
+                    .collect(),
+            ),
             ChanLayout::Uniform { topo, degree, .. } => ChanHeads::Algebraic {
                 topo: *topo,
                 degree: *degree,
