@@ -47,7 +47,7 @@ pub(crate) struct Packet {
 
 /// Node id as carried by trace events.
 #[inline]
-pub(crate) fn node32(v: NodeId) -> u32 {
+fn node32(v: NodeId) -> u32 {
     u32::try_from(v).expect("invariant: node ids fit in u32 (route tables store them so)")
 }
 
